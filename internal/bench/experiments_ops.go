@@ -22,13 +22,16 @@ import (
 )
 
 // The operators experiment measures the CPU batch operator functions at
-// native speed — no model padding, no engine — comparing the per-tuple
-// scalar reference against the vectorized batch kernels over one pinned
-// query-task batch per operator. Alongside the text report it writes a
-// machine-readable BENCH_operators.json for CI and regression tracking.
+// native speed — no model padding, no engine — over one pinned query-task
+// batch per operator: row-gather versus pre-shredded columnar batches,
+// and bare versus with the engine's per-task observability bundle.
+// Alongside the text report it writes a machine-readable
+// BENCH_operators.json for CI and regression tracking. The kernels'
+// speedup over the per-tuple reference operators is asserted by the
+// internal/exec tests, where that reference lives.
 
 func init() {
-	register("operators", "CPU operator kernels: scalar vs vectorized (native speed)", operators)
+	register("operators", "CPU operator kernels: columnar vs row, metrics on vs off (native speed)", operators)
 }
 
 // operatorsJSONPath is where the experiment drops its JSON twin; tests
@@ -42,9 +45,7 @@ const opTrials = 7
 
 type opResult struct {
 	Name           string  `json:"name"`
-	ScalarMtps     float64 `json:"scalar_mtps"`
 	VectorizedMtps float64 `json:"vectorized_mtps"`
-	Speedup        float64 `json:"speedup"`
 	// ColumnarMtps re-measures the vectorized kernel over a batch that
 	// carries pre-shredded column segments (exec.Batch.Cols), the layout
 	// the engine's columnar ring hands every task; ColumnarVsRow is the
@@ -115,63 +116,6 @@ func shredCols(s *schema.Schema, data []byte) [][]byte {
 	return views
 }
 
-// measureOp processes the same batch repeatedly through one compiled plan
-// and returns millions of input tuples per second. columnar attaches
-// pre-shredded column segments to the batches, the layout engine tasks
-// carry by default.
-func measureOp(q *query.Query, streams [2][]byte, vec, columnar bool) float64 {
-	p, err := exec.Compile(q)
-	if err != nil {
-		panic(fmt.Sprintf("operators: compile %s: %v", q.Name, err))
-	}
-	p.SetVectorized(vec)
-	var batches [2]exec.Batch
-	tuples := 0
-	for i := 0; i < p.NumInputs(); i++ {
-		batches[i] = exec.Batch{Data: streams[i], Ctx: window.Context{PrevTimestamp: window.NoPrev}}
-		if columnar && len(streams[i]) > 0 {
-			batches[i].Cols = shredCols(p.InputSchema(i), streams[i])
-		}
-		tuples += len(streams[i]) / p.InputSchema(i).TupleSize()
-	}
-	iter := func() {
-		res := p.NewResult()
-		if err := p.Process(batches, res); err != nil {
-			panic(err)
-		}
-		p.ReleaseResult(res)
-	}
-	iter() // warm the pools and the branch predictor
-	// Start each measurement with a fully swept heap: earlier tests in
-	// the same process can leave tens of MiB of garbage whose lazy sweep
-	// debt is paid by the measurement loop's allocations, taxing the
-	// allocation-heavier vectorized path disproportionately (observed as
-	// a ~15% speedup-ratio depression on single-core hosts).
-	debug.FreeOSMemory()
-	// Best-of-trials: scheduler contention (e.g. other test packages
-	// running in parallel) only ever slows a trial down, so the fastest
-	// trial is the robust estimate of the kernel's actual rate.
-	const trials = opTrials
-	const minWall = 8 * time.Millisecond
-	best := 0.0
-	for t := 0; t < trials; t++ {
-		n := 0
-		start := time.Now()
-		var elapsed time.Duration
-		for {
-			iter()
-			n++
-			if elapsed = time.Since(start); elapsed >= minWall && n >= 2 {
-				break
-			}
-		}
-		if r := float64(tuples) * float64(n) / elapsed.Seconds() / 1e6; r > best {
-			best = r
-		}
-	}
-	return best
-}
-
 // measureOpColPair measures the vectorized kernel with row-gather
 // batches and with pre-shredded column batches, interleaving the trials
 // (as in measureOpPair) so the columnar/row ratio is taken within one
@@ -182,7 +126,6 @@ func measureOpColPair(q *query.Query, streams [2][]byte) (row, col float64) {
 	if err != nil {
 		panic(fmt.Sprintf("operators: compile %s: %v", q.Name, err))
 	}
-	p.SetVectorized(true)
 	var rowB, colB [2]exec.Batch
 	tuples := 0
 	for i := 0; i < p.NumInputs(); i++ {
@@ -278,7 +221,6 @@ func measureOpPair(q *query.Query, streams [2][]byte, in *opInstr) (bare, instr,
 	if err != nil {
 		panic(fmt.Sprintf("operators: compile %s: %v", q.Name, err))
 	}
-	p.SetVectorized(true)
 	var batches [2]exec.Batch
 	tuples, inBytes := 0, 0
 	for i := 0; i < p.NumInputs(); i++ {
@@ -320,7 +262,10 @@ func measureOpPair(q *query.Query, streams [2][]byte, in *opInstr) (bare, instr,
 	}
 	iterBare()
 	iterInstr()
-	debug.FreeOSMemory() // as in measureOp: keep sweep debt out of the trials
+	// Start with a fully swept heap: earlier tests in the same process can
+	// leave tens of MiB of garbage whose lazy sweep debt the trials would
+	// pay.
+	debug.FreeOSMemory()
 	const minWall = 8 * time.Millisecond
 	trial := func(iter func()) float64 {
 		n := 0
@@ -454,8 +399,8 @@ func operators(o Options) Report {
 
 	rep := Report{
 		ID:     "operators",
-		Title:  "CPU operator kernels: scalar vs vectorized vs columnar (native speed, Mt/s)",
-		Header: []string{"operator", "scalar Mt/s", "vectorized Mt/s", "speedup", "columnar Mt/s", "col/row", "metrics-on Mt/s", "overhead %"},
+		Title:  "CPU operator kernels: vectorized vs columnar vs metrics-on (native speed, Mt/s)",
+		Header: []string{"operator", "vectorized Mt/s", "columnar Mt/s", "col/row", "metrics-on Mt/s", "overhead %"},
 	}
 	reg := o.Metrics
 	if reg == nil {
@@ -464,12 +409,11 @@ func operators(o Options) Report {
 	js := opsReport{TupleBytes: workload.SynTupleSize, BatchTuples: batchTuples}
 	geomean, measured := 0.0, 0
 	for _, c := range cases {
-		s := measureOp(c.q, c.streams, false, false)
 		rowV, col := measureOpColPair(c.q, c.streams)
 		v, m, over := measureOpPair(c.q, c.streams, newOpInstr(reg, c.name))
-		rep.Rows = append(rep.Rows, []string{c.name, f1(s), f1(v), f2(v / s), f1(col), f2(col / rowV), f1(m), f2(over)})
+		rep.Rows = append(rep.Rows, []string{c.name, f1(v), f1(col), f2(col / rowV), f1(m), f2(over)})
 		js.Operators = append(js.Operators, opResult{
-			Name: c.name, ScalarMtps: round2(s), VectorizedMtps: round2(v), Speedup: round2(v / s),
+			Name: c.name, VectorizedMtps: round2(v),
 			ColumnarMtps: round2(col), ColumnarVsRow: round2(col / rowV),
 			MetricsOnMtps: round2(m), MetricsOverheadPct: round2(over),
 		})
@@ -494,7 +438,7 @@ func operators(o Options) Report {
 		}
 	}
 	rep.Notes = append(rep.Notes,
-		"native-speed Plan.Process over one pinned batch; no model padding, so numbers are host-dependent — compare the scalar/vectorized ratio, not absolutes")
+		"native-speed Plan.Process over one pinned batch; no model padding, so numbers are host-dependent — compare the col/row and metrics-on ratios, not absolutes")
 	return rep
 }
 

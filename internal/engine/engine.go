@@ -653,8 +653,10 @@ func (e *Engine) watchLoop() {
 			}
 			p.QueueLen = int64(e.queue.Len())
 			if rep, ok := w.Observe(now, p); ok {
-				e.stalls.Add(1)
+				// Postmortem first: a reader who sees the stall counter
+				// must find its dump already readable.
 				e.stallDump.Store(e.formatStall(rep))
+				e.stalls.Add(1)
 			}
 		}
 	}

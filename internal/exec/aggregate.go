@@ -16,10 +16,9 @@ import (
 // table that is updated with the tuples entering and leaving consecutive
 // fragments instead of being rebuilt.
 //
-// The vectorized variants batch-evaluate the filter into a selection
-// vector and every aggregate argument into a value column once per batch,
-// ahead of the fragment loops; the per-tuple scalar variants remain the
-// reference implementation (SetVectorized(false)).
+// Every variant batch-evaluates the filter into a selection vector and
+// every aggregate argument into a value column once per batch, ahead of
+// the fragment loops.
 func (p *Plan) processAggregate(in Batch, res *TaskResult) {
 	s := p.in[0]
 	tsz := s.TupleSize()
@@ -35,29 +34,13 @@ func (p *Plan) processAggregate(in Batch, res *TaskResult) {
 
 	switch {
 	case p.grouped && p.invertApl:
-		if p.vec {
-			p.aggGroupedRollingVec(in, sc, view, res)
-		} else {
-			p.aggGroupedRolling(in, sc, view, res)
-		}
+		p.aggGroupedRollingVec(in, sc, view, res)
 	case p.grouped:
-		if p.vec {
-			p.aggGroupedDirectVec(in, sc, view, res)
-		} else {
-			p.aggGroupedDirect(in, sc, view, res)
-		}
+		p.aggGroupedDirectVec(in, sc, view, res)
 	case p.invertApl:
-		if p.vec {
-			p.aggScalarPrefixVec(in, sc, view, res)
-		} else {
-			p.aggScalarPrefix(in, sc, view, res)
-		}
+		p.aggScalarPrefixVec(in, sc, view, res)
 	default:
-		if p.vec {
-			p.aggScalarDirectVec(in, sc, view, res)
-		} else {
-			p.aggScalarDirect(in, sc, view, res)
-		}
+		p.aggScalarDirectVec(in, sc, view, res)
 	}
 }
 
@@ -105,40 +88,9 @@ func lowerBound(sel []int32, v int32) int {
 	return sort.Search(len(sel), func(i int) bool { return sel[i] >= v })
 }
 
-// aggScalarPrefix computes non-grouped invertible aggregates with prefix
-// sums: each fragment's partial is a difference of two prefix entries.
-func (p *Plan) aggScalarPrefix(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	n := view.Len()
-	m := len(p.aggs)
-	prefC := growI64(sc.prefixC, n+1)
-	prefV := growF64(sc.prefixV, (n+1)*m)
-	sc.prefixC, sc.prefixV = prefC, prefV
-	prefC[0] = 0
-	for a := 0; a < m; a++ {
-		prefV[a] = 0
-	}
-	for i := 0; i < n; i++ {
-		tuple := p.tupleAt(in, i)
-		pass := p.filter == nil || p.filter.EvalTuple(tuple)
-		d := int64(0)
-		if pass {
-			d = 1
-		}
-		prefC[i+1] = prefC[i] + d
-		for a, spec := range p.aggs {
-			v := 0.0
-			if pass && spec.arg != nil {
-				v = spec.arg.EvalFloat(tuple, nil)
-			}
-			prefV[(i+1)*m+a] = prefV[i*m+a] + v
-		}
-	}
-	p.emitPrefixFrags(sc, view, prefC, prefV, m, res)
-}
-
-// aggScalarPrefixVec builds the same prefix arrays from the batch-
-// evaluated selection vector and value columns, then shares the fragment
-// emission with the scalar path.
+// aggScalarPrefixVec computes non-grouped invertible aggregates with
+// prefix sums built from the batch-evaluated selection vector and value
+// columns: each fragment's partial is a difference of two prefix entries.
 func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskResult) {
 	n := view.Len()
 	m := len(p.aggs)
@@ -153,9 +105,10 @@ func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskR
 	// One fused pass builds the count prefix and all value prefixes
 	// together: the m running sums are independent dependency chains, so
 	// interleaving them hides the FP add latency that per-agg passes would
-	// serialise. Rejected rows add 0.0, exactly like the scalar loop, so
-	// the running sums stay bit-identical. Queries with up to three
-	// aggregates keep the running sums in registers.
+	// serialise. Rejected rows add 0.0, exactly like the per-tuple
+	// reference loop in the tests, so the running sums stay bit-identical.
+	// Queries with up to three aggregates keep the running sums in
+	// registers.
 	cols := sc.cols
 	si := 0
 	cnt := int64(0)
@@ -269,52 +222,10 @@ func (p *Plan) seedVals(vals []float64) {
 	}
 }
 
-// aggScalarDirect recomputes each fragment by scanning its tuple range;
-// used when a non-invertible function (min/max) is present. This is also
-// the ablation path for BenchmarkAblationIncremental.
-func (p *Plan) aggScalarDirect(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	m := len(p.aggs)
-	for _, f := range sc.frags {
-		part := WindowPartial{
-			Window:     f.Window,
-			OpenedHere: f.Opens,
-			ClosedHere: f.Closes,
-			MaxTS:      fragLastTS(view, f.Start, f.End),
-			Vals:       res.AllocVals(m),
-		}
-		p.seedVals(part.Vals)
-		for i := f.Start; i < f.End; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			part.Count++
-			for a, spec := range p.aggs {
-				if spec.arg == nil {
-					continue
-				}
-				v := spec.arg.EvalFloat(tuple, nil)
-				switch spec.op {
-				case OpAdd:
-					part.Vals[a] += v
-				case OpMin:
-					if v < part.Vals[a] {
-						part.Vals[a] = v
-					}
-				case OpMax:
-					if v > part.Vals[a] {
-						part.Vals[a] = v
-					}
-				}
-			}
-		}
-		res.Partials = append(res.Partials, part)
-	}
-}
-
 // aggScalarDirectVec rescans each fragment off the pre-evaluated value
 // columns: one tight fold per aggregate over the fragment's (selected)
-// rows, in the same ascending order as the scalar path.
+// rows, in the same ascending order as the per-tuple reference. Used when
+// a non-invertible function (min/max) is present.
 func (p *Plan) aggScalarDirectVec(in Batch, sc *scratch, view tsView, res *TaskResult) {
 	n := view.Len()
 	m := len(p.aggs)
@@ -412,27 +323,8 @@ func (p *Plan) seedSlot(sl Slot) {
 	}
 }
 
-// addTupleToSlot folds one tuple into a group slot with weight +1/-1.
-func (p *Plan) addTupleToSlot(sl Slot, tuple []byte, sign float64) {
-	sl.AddCount(int64(sign))
-	for a, spec := range p.aggs {
-		if spec.arg == nil {
-			continue
-		}
-		v := spec.arg.EvalFloat(tuple, nil)
-		switch spec.op {
-		case OpAdd:
-			sl.AddVal(a, sign*v)
-		case OpMin:
-			sl.MinVal(a, v)
-		case OpMax:
-			sl.MaxVal(a, v)
-		}
-	}
-}
-
 // addColsToSlot folds row i into a group slot off the pre-evaluated
-// value columns — same folds as addTupleToSlot, no expression calls.
+// value columns with weight +1/-1.
 func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int, sign float64) {
 	sl.AddCount(int64(sign))
 	for a, spec := range p.aggs {
@@ -449,53 +341,6 @@ func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int, sign float64) {
 			sl.MaxVal(a, v)
 		}
 	}
-}
-
-// aggGroupedRolling computes grouped fragments incrementally: the rolling
-// table always holds the current fragment's groups; moving to the next
-// fragment removes the tuples that leave the window and adds those that
-// enter. Requires invertible aggregates.
-func (p *Plan) aggGroupedRolling(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	if sc.rolling == nil || sc.rolling.KeyLen() != p.keyLen || sc.rolling.NumAggs() != len(p.aggs) {
-		sc.rolling = NewHashTable(p.keyLen, len(p.aggs), 256)
-	}
-	roll := sc.rolling
-	roll.Reset()
-	keyBuf := sc.keyBuf
-	curStart, curEnd := sc.frags[0].Start, sc.frags[0].Start
-
-	for _, f := range sc.frags {
-		// Remove tuples leaving the window.
-		for i := curStart; i < f.Start; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			keyBuf = p.key(keyBuf, tuple)
-			if sl, ok := roll.Lookup(keyBuf); ok {
-				p.addTupleToSlot(sl, tuple, -1)
-			}
-		}
-		curStart = f.Start
-		if curEnd < curStart {
-			curEnd = curStart
-		}
-		// Add tuples entering the window.
-		for i := curEnd; i < f.End; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			keyBuf = p.key(keyBuf, tuple)
-			sl := roll.Upsert(keyBuf, p.seedSlot)
-			p.addTupleToSlot(sl, tuple, +1)
-			sl.ObserveTS(view.At(i))
-		}
-		curEnd = f.End
-
-		res.Partials = append(res.Partials, p.snapshotRolling(roll, f, view))
-	}
-	sc.keyBuf = keyBuf
 }
 
 // aggGroupedRollingVec is the rolling path over the batch-evaluated
@@ -578,33 +423,6 @@ func (p *Plan) snapshotRolling(roll *HashTable, f window.Fragment, view tsView) 
 		Table:      snap,
 		MaxTS:      fragLastTS(view, f.Start, f.End),
 	}
-}
-
-// aggGroupedDirect rebuilds each fragment's group table from scratch; used
-// when a non-invertible function is present.
-func (p *Plan) aggGroupedDirect(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	keyBuf := sc.keyBuf
-	for _, f := range sc.frags {
-		table := p.newTable()
-		for i := f.Start; i < f.End; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			keyBuf = p.key(keyBuf, tuple)
-			sl := table.Upsert(keyBuf, p.seedSlot)
-			p.addTupleToSlot(sl, tuple, +1)
-			sl.ObserveTS(view.At(i))
-		}
-		res.Partials = append(res.Partials, WindowPartial{
-			Window:     f.Window,
-			OpenedHere: f.Opens,
-			ClosedHere: f.Closes,
-			Table:      table,
-			MaxTS:      fragLastTS(view, f.Start, f.End),
-		})
-	}
-	sc.keyBuf = keyBuf
 }
 
 // aggGroupedDirectVec rebuilds each fragment's table off the selection

@@ -40,13 +40,12 @@ func allocQuery(kind string) *query.Query {
 	panic("unknown kind " + kind)
 }
 
-func steadyStateAllocs(tb testing.TB, kind string, vec bool) float64 {
+func steadyStateAllocs(tb testing.TB, kind string) float64 {
 	tb.Helper()
 	p, err := Compile(allocQuery(kind))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p.SetVectorized(vec)
 	if kind == "grouped-direct" {
 		p.SetIncremental(false)
 	}
@@ -69,31 +68,24 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counting is slow under -short")
 	}
 	for _, kind := range []string{"grouped-rolling", "grouped-direct", "scalar-prefix", "scalar-direct"} {
-		for _, vec := range []bool{false, true} {
-			name := kind
-			if vec {
-				name += "/vec"
-			} else {
-				name += "/scalar"
+		name := kind + "/vec"
+		t.Run(name, func(t *testing.T) {
+			got := steadyStateAllocs(t, kind)
+			// 4096 tuples, 64 windows per batch. Scalar partials draw
+			// their accumulators from the result's arena, so those paths
+			// must be (near) zero. Grouped partials each carry a snapshot
+			// hash table whose ownership transfers to the assembler —
+			// inherently a few allocations per window — so their budget
+			// is per-window; a regression to per-tuple work (4096+) or
+			// per-group scratch still trips it.
+			budget := 48.0
+			if kind == "grouped-rolling" || kind == "grouped-direct" {
+				budget = 64 * 10
 			}
-			t.Run(name, func(t *testing.T) {
-				got := steadyStateAllocs(t, kind, vec)
-				// 4096 tuples, 64 windows per batch. Scalar partials draw
-				// their accumulators from the result's arena, so those
-				// paths must be (near) zero. Grouped partials each carry a
-				// snapshot hash table whose ownership transfers to the
-				// assembler — inherently a few allocations per window —
-				// so their budget is per-window; a regression to per-tuple
-				// work (4096+) or per-group scratch still trips it.
-				budget := 48.0
-				if kind == "grouped-rolling" || kind == "grouped-direct" {
-					budget = 64 * 10
-				}
-				if got > budget {
-					t.Errorf("%s: %.0f allocs/op, budget %.0f — a per-task scratch buffer is not pooled", name, got, budget)
-				}
-			})
-		}
+			if got > budget {
+				t.Errorf("%s: %.0f allocs/op, budget %.0f — a per-task scratch buffer is not pooled", name, got, budget)
+			}
+		})
 	}
 }
 
@@ -106,7 +98,6 @@ func BenchmarkAggAllocs(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p.SetVectorized(true)
 			in := [2]Batch{{Data: genStream(4096, 9), Ctx: window.Context{PrevTimestamp: window.NoPrev}}}
 			res := p.NewResult()
 			b.ReportAllocs()

@@ -55,9 +55,6 @@ func NewHashTable(keyLen, nAggs, capacity int) *HashTable {
 // Len returns the number of occupied groups.
 func (h *HashTable) Len() int { return h.used }
 
-// Cap returns the slot count.
-func (h *HashTable) Cap() int { return h.cap }
-
 // KeyLen returns the group key width in bytes.
 func (h *HashTable) KeyLen() int { return h.keyLen }
 

@@ -45,6 +45,12 @@ func joinPlan(t *testing.T, w window.Def, pred expr.Pred) *Plan {
 // over both streams, all pairs (i, j) with i, j in [start, end) and
 // v[i] == w[j].
 func refJoin(l, r []byte, w window.Def, n int) []string {
+	return refJoinWhere(l, r, w, n, func(i, j int64, v, w int32) bool { return v == w })
+}
+
+// refJoinWhere is refJoin for any predicate over the pair's indices (its
+// timestamps) and values.
+func refJoinWhere(l, r []byte, w window.Def, n int, pred func(i, j int64, v, w int32) bool) []string {
 	var rows []string
 	lsz, rsz := leftSchema.TupleSize(), rightSchema.TupleSize()
 	for k := int64(0); w.Start(k) < int64(n); k++ {
@@ -56,7 +62,7 @@ func refJoin(l, r []byte, w window.Def, n int) []string {
 			for j := s; j < e; j++ {
 				lv := leftSchema.ReadInt32(l[int(i)*lsz:], 1)
 				rv := rightSchema.ReadInt32(r[int(j)*rsz:], 1)
-				if lv == rv {
+				if pred(i, j, lv, rv) {
 					rows = append(rows, fmt.Sprintf("k%d:%d-%d", k, i, j))
 				}
 			}
@@ -115,21 +121,39 @@ func TestJoinTumblingWithinBatch(t *testing.T) {
 }
 
 // TestJoinWindowSpansBatches: windows larger than the batch require the
-// assembly stage to join cross-task pairs.
+// assembly stage to join cross-task pairs. The θ-join takes the per-pair
+// predicate path and the residual conjunct the bucketed path's re-test,
+// both at batch time and at assembly.
 func TestJoinWindowSpansBatches(t *testing.T) {
 	w := window.NewCount(16, 16)
-	p := joinPlan(t, w, expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
+	cases := []struct {
+		name string
+		pred expr.Pred
+		ref  func(i, j int64, v, w int32) bool
+	}{
+		{"equi", expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")},
+			func(i, j int64, v, w int32) bool { return v == w }},
+		{"theta", expr.Cmp{Op: expr.Lt, Left: expr.Col("v"), Right: expr.Col("w")},
+			func(i, j int64, v, w int32) bool { return v < w }},
+		{"equi-residual", expr.And{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")},
+			expr.Cmp{Op: expr.Lt, Left: expr.QCol("L", "timestamp"), Right: expr.QCol("R", "timestamp")},
+		}}, func(i, j int64, v, w int32) bool { return v == w && i < j }},
+	}
 	l, r := genPair(64, 4)
-	for _, batch := range []int{3, 5, 7} {
-		out := runPlanStreams(t, p, [2][]byte{l, r}, batch)
-		got := gotJoin(p, out, w)
-		want := refJoin(l, r, w, 64)
-		if len(got) != len(want) {
-			t.Fatalf("batch %d: rows = %d, want %d", batch, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d row %d: got %s want %s", batch, i, got[i], want[i])
+	for _, c := range cases {
+		p := joinPlan(t, w, c.pred)
+		want := refJoinWhere(l, r, w, 64, c.ref)
+		for _, batch := range []int{3, 5, 7} {
+			out := runPlanStreams(t, p, [2][]byte{l, r}, batch)
+			got := gotJoin(p, out, w)
+			if len(got) != len(want) {
+				t.Fatalf("%s batch %d: rows = %d, want %d", c.name, batch, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s batch %d row %d: got %s want %s", c.name, batch, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -68,23 +68,31 @@ func sliceCols(dst [][]byte, cols [][]byte, widths []int, lo, hi int) [][]byte {
 	return dst
 }
 
-// WriteOutputBatch appends the output tuples for the selected rows
-// (batch-absolute indices) of a packed batch with optional column
+// WriteOutputBatch appends the output tuples for the selected rows of
+// tuple range [lo, hi) of a packed batch with optional full-batch column
 // segments — the compact half the GPGPU map kernel shares with the CPU
-// operators. For RowFreeMap plans data may be nil.
-func (p *Plan) WriteOutputBatch(dst, data []byte, cols [][]byte, n int, sel []int32) []byte {
+// operators. sel holds batch-absolute indices within [lo, hi), as
+// FilterSelect returns them; computed projection columns are evaluated
+// over the range only. For RowFreeMap plans data may be nil.
+func (p *Plan) WriteOutputBatch(dst, data []byte, cols [][]byte, lo, hi int, sel []int32) []byte {
+	tsz := p.in[0].TupleSize()
 	sc := p.getScratch()
-	dst = p.writeOutBatch(dst, Batch{Data: data, Cols: cols}, p.in[0].TupleSize(), n, sel, false, sc)
+	var b Batch
+	if data != nil {
+		b.Data = data[lo*tsz : hi*tsz]
+	}
+	if cols != nil {
+		sc.colsBuf = sliceCols(sc.colsBuf, cols, p.colW[0], lo, hi)
+		b.Cols = sc.colsBuf
+	}
+	sc.sel = append(sc.sel[:0], sel...)
+	for i := range sc.sel {
+		sc.sel[i] -= int32(lo)
+	}
+	dst = p.writeOutBatch(dst, b, tsz, hi-lo, sc.sel, false, sc)
 	p.putScratch(sc)
 	return dst
 }
-
-// EvalJoinPred evaluates the θ-join predicate over a tuple pair.
-func (p *Plan) EvalJoinPred(l, r []byte) bool { return p.joinPred.Eval(l, r) }
-
-// WriteOutput appends the output tuple for the given input tuple(s); r is
-// nil for single-input plans.
-func (p *Plan) WriteOutput(dst, l, r []byte) []byte { return p.writeOut(dst, l, r) }
 
 // Fragments computes input i's window fragments for a batch of n tuples.
 func (p *Plan) Fragments(dst []window.Fragment, i, n int, data []byte, ctx window.Context) []window.Fragment {
@@ -124,17 +132,9 @@ func (p *Plan) NewTable() *HashTable { return p.newTable() }
 // min/max).
 func (p *Plan) SeedSlot(sl Slot) { p.seedSlot(sl) }
 
-// FoldTuple folds one tuple into a group slot.
-func (p *Plan) FoldTuple(sl Slot, tuple []byte) { p.addTupleToSlot(sl, tuple, +1) }
-
 // TimestampOf returns the timestamp of tuple i in a packed batch of
 // input side's schema.
 func (p *Plan) TimestampOf(side int, data []byte, i int) int64 {
 	s := p.in[side]
 	return s.Timestamp(data[i*s.TupleSize():])
-}
-
-// JoinCross appends the projected θ-join of two packed fragments.
-func (p *Plan) JoinCross(dst, aData, bData []byte) []byte {
-	return p.joinCross(dst, aData, bData, nil)
 }

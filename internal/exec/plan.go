@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"saber/internal/expr"
 	"saber/internal/query"
@@ -83,11 +82,6 @@ type Plan struct {
 	invertApl bool              // incremental (rolling) computation applies
 	having    *expr.PredProgram // over the output schema
 
-	// vec selects the vectorized batch operators; the per-tuple scalar
-	// path stays behind SetVectorized(false) as the reference
-	// implementation for differential tests and ablation.
-	vec bool
-
 	// colOffs/colW describe each input schema's columnar layout (field
 	// byte offsets within the row tuple, and field widths), precomputed so
 	// batch evaluation can attach Batch.Cols views without per-task work.
@@ -130,7 +124,8 @@ type scratch struct {
 	// keyBuf is the grouped-aggregation key assembly buffer; pooled here
 	// so the four grouped paths stop allocating one per task.
 	keyBuf []byte
-	// colsBuf holds per-range column view headers for FilterSelect.
+	// colsBuf holds per-range column view headers for FilterSelect and
+	// WriteOutputBatch.
 	colsBuf [][]byte
 
 	// Join scratch: reused fragment pairing and equality buckets.
@@ -139,27 +134,6 @@ type scratch struct {
 	eqNext []int32
 }
 
-// defaultVec is the package-wide default for newly compiled plans.
-var defaultVec atomic.Bool
-
-func init() { defaultVec.Store(true) }
-
-// SetDefaultVectorized toggles whether newly compiled plans use the
-// vectorized batch operators (the default) or the per-tuple scalar
-// reference path. Exposed for end-to-end differential tests and
-// ablation runs; existing plans are unaffected.
-func SetDefaultVectorized(on bool) { defaultVec.Store(on) }
-
-// DefaultVectorized reports the current compile-time default.
-func DefaultVectorized() bool { return defaultVec.Load() }
-
-// SetVectorized switches this plan between the vectorized operators and
-// the scalar reference path. Not safe to call concurrently with Process.
-func (p *Plan) SetVectorized(on bool) { p.vec = on }
-
-// Vectorized reports which path the plan runs.
-func (p *Plan) Vectorized() bool { return p.vec }
-
 // Compile builds an executable plan from a validated query.
 func Compile(q *query.Query) (*Plan, error) {
 	if q.OutputSchema() == nil {
@@ -167,7 +141,7 @@ func Compile(q *query.Query) (*Plan, error) {
 			return nil, err
 		}
 	}
-	p := &Plan{Q: q, out: q.OutputSchema(), vec: DefaultVectorized()}
+	p := &Plan{Q: q, out: q.OutputSchema()}
 	for i, in := range q.Inputs {
 		p.in[i] = in.Schema
 		p.windows[i] = in.Window
@@ -317,7 +291,7 @@ func detectEquiJoin(pred expr.Pred, res expr.Resolver) eqJoinInfo {
 }
 
 // readIntKey reads an integer column as a sign-extended int64 — the
-// integer-compare domain both scalar and vectorized equality use.
+// integer-compare domain the compiled equality predicate uses.
 func readIntKey(tuple []byte, off int, typ schema.Type) int64 {
 	if typ == schema.Int32 {
 		return int64(int32(binary.LittleEndian.Uint32(tuple[off:])))
@@ -635,7 +609,7 @@ func (p *Plan) writeOutBatch(dst []byte, b Batch, tsz, n int, sel []int32, all b
 			}
 		case w.prog.IsInt():
 			// One batch evaluation per column, then a typed store pass
-			// with the same conversions as the scalar writeOut; the output
+			// with the same conversions as the per-tuple writeOut; the output
 			// type dispatch is hoisted out of the row loop.
 			sc.icol = w.prog.EvalBatchInt(&sc.vec, sc.icol, in)
 			icol := sc.icol
@@ -723,7 +697,7 @@ func (p *Plan) fieldAt(side, off int) int {
 // at all); identity projections and scalar-fallback programs keep the
 // row staging path.
 func (p *Plan) RowFreeMap() bool {
-	if p.Kind != Map || !p.vec || p.writers == nil {
+	if p.Kind != Map || p.writers == nil {
 		return false
 	}
 	has := func(side, off int) bool { return side == 0 && p.fieldAt(0, off) >= 0 }

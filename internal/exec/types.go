@@ -18,7 +18,7 @@ type Batch struct {
 	// stride == the field's width (the columnar ring layout). Vectorized
 	// kernels prefer these dense views over the strided row walk; Data
 	// stays authoritative for row-residual paths (group keys, identity
-	// projection, the scalar reference operators).
+	// projection, join pairs).
 	Cols [][]byte
 	// Ctx is the stream position of the batch.
 	Ctx window.Context

@@ -11,10 +11,10 @@ import (
 	"saber/internal/window"
 )
 
-// These tests pin the vectorized CPU path to the per-tuple scalar path:
-// both plans process the same batch sequence and every TaskResult must be
-// byte-identical — Stream bytes, partial flags, counts, accumulator bits,
-// join payloads, and group-table contents.
+// These tests pin the CPU operators to the per-tuple scalar oracle
+// (scalar_oracle_test.go): both process the same batch sequence and every
+// TaskResult must be byte-identical — Stream bytes, partial flags, counts,
+// accumulator bits, join payloads, and group-table contents.
 
 // tableSnapshot renders a group table as sorted "key→count/vals/ts" lines
 // so two tables compare as sets of groups (iteration order is layout-
@@ -38,7 +38,7 @@ func tableSnapshot(h *HashTable, nAggs int) []string {
 func comparePartial(t *testing.T, task int, k int, got, want *WindowPartial, nAggs int) {
 	t.Helper()
 	fail := func(field string, g, w interface{}) {
-		t.Fatalf("task %d partial %d: %s = %v, scalar has %v", task, k, field, g, w)
+		t.Fatalf("task %d partial %d: %s = %v, oracle has %v", task, k, field, g, w)
 	}
 	if got.Window != want.Window {
 		fail("Window", got.Window, want.Window)
@@ -85,15 +85,15 @@ func comparePartial(t *testing.T, task int, k int, got, want *WindowPartial, nAg
 	}
 }
 
-// runDifferential processes streams through a vectorized and a scalar
-// compilation of the same query, comparing every TaskResult and the final
-// assembled output.
+// runDifferential processes streams through Plan.Process and through the
+// scalar oracle, each over its own compilation of the same query,
+// comparing every TaskResult and the final assembled output. Both sides
+// assemble with the runtime's Assembler, so cross-task join pairs are
+// checked against the brute-force reference in join_test.go instead.
 func runDifferential(t *testing.T, q *query.Query, streams [2][]byte, batchTuples int) {
 	t.Helper()
 	pv := mustCompile(t, q)
 	ps := mustCompile(t, q)
-	pv.SetVectorized(true)
-	ps.SetVectorized(false)
 
 	asmV, asmS := NewAssembler(pv), NewAssembler(ps)
 	var outV, outS []byte
@@ -135,16 +135,16 @@ func runDifferential(t *testing.T, q *query.Query, streams [2][]byte, batchTuple
 		}
 		resV, resS := pv.NewResult(), ps.NewResult()
 		if err := pv.Process(in, resV); err != nil {
-			t.Fatalf("vec Process: %v", err)
+			t.Fatalf("Process: %v", err)
 		}
-		if err := ps.Process(in, resS); err != nil {
-			t.Fatalf("scalar Process: %v", err)
+		if err := scalarProcess(ps, in, resS); err != nil {
+			t.Fatalf("scalar oracle: %v", err)
 		}
 		if string(resV.Stream) != string(resS.Stream) {
-			t.Fatalf("task %d: Stream differs (%d vs %d bytes)", task, len(resV.Stream), len(resS.Stream))
+			t.Fatalf("task %d: Stream differs from the oracle's (%d vs %d bytes)", task, len(resV.Stream), len(resS.Stream))
 		}
 		if len(resV.Partials) != len(resS.Partials) {
-			t.Fatalf("task %d: %d partials, scalar has %d", task, len(resV.Partials), len(resS.Partials))
+			t.Fatalf("task %d: %d partials, oracle has %d", task, len(resV.Partials), len(resS.Partials))
 		}
 		for k := range resV.Partials {
 			comparePartial(t, task, k, &resV.Partials[k], &resS.Partials[k], pv.NumAggs())

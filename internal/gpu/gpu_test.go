@@ -118,18 +118,27 @@ func mustCompile(t *testing.T, q *query.Query) *exec.Plan {
 
 func TestMapKernelMatchesCPU(t *testing.T) {
 	d := fastDevice(t)
-	q := query.NewBuilder("sel").
+	where := expr.Cmp{Op: expr.Lt, Left: expr.Col("b"), Right: expr.IntConst(4)}
+	// A computed projection, and an identity projection whose compaction
+	// copies runs of selected rows.
+	project := query.NewBuilder("sel").
 		From("S", syn, window.NewCount(8, 8)).
-		Where(expr.Cmp{Op: expr.Lt, Left: expr.Col("b"), Right: expr.IntConst(4)}).
+		Where(where).
 		Select("timestamp", "b").
 		SelectAs(expr.Arith{Op: expr.Mul, Left: expr.Col("a"), Right: expr.FloatConst(2)}, "a2").
 		MustBuild()
-	p := mustCompile(t, q)
+	identity := query.NewBuilder("sel-all").
+		From("S", syn, window.NewCount(8, 8)).
+		Where(where).
+		MustBuild()
 	stream := genStream(500, 1)
-	for _, batch := range []int{33, 128, 500} {
-		cpu, gpu := runBoth(t, d, p, [2][]byte{stream, nil}, batch)
-		if string(cpu) != string(gpu) {
-			t.Fatalf("batch %d: GPU selection output differs (%d vs %d bytes)", batch, len(gpu), len(cpu))
+	for _, q := range []*query.Query{project, identity} {
+		p := mustCompile(t, q)
+		for _, batch := range []int{33, 128, 500} {
+			cpu, gpu := runBoth(t, d, p, [2][]byte{stream, nil}, batch)
+			if string(cpu) != string(gpu) {
+				t.Fatalf("%s batch %d: GPU selection output differs (%d vs %d bytes)", q.Name, batch, len(gpu), len(cpu))
+			}
 		}
 	}
 }
@@ -151,6 +160,37 @@ func TestMapKernelEmptyAndAllPass(t *testing.T) {
 	cpu, gpu = runBoth(t, d, pNone, [2][]byte{stream, nil}, 10)
 	if len(cpu) != 0 || len(gpu) != 0 {
 		t.Fatal("all-filtered mismatch")
+	}
+}
+
+// BenchmarkMapKernelComputedProjection runs a filtered computed
+// projection over one 8192-tuple row batch split into the default
+// 256-tuple workgroups. Each workgroup's compaction evaluates the
+// computed column over its own range, so the cost is linear in the batch.
+func BenchmarkMapKernelComputedProjection(b *testing.B) {
+	d := Open(Config{SMs: 4, Model: model.Default().Scaled(1e-6)})
+	defer d.Close()
+	q := query.NewBuilder("proj").
+		From("S", syn, window.NewCount(1024, 1024)).
+		Where(expr.Cmp{Op: expr.Lt, Left: expr.Col("b"), Right: expr.IntConst(4)}).
+		Select("timestamp", "b").
+		SelectAs(expr.Arith{Op: expr.Mul, Left: expr.Col("a"), Right: expr.FloatConst(3)}, "a3").
+		MustBuild()
+	p, err := exec.Compile(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := d.Compile(p)
+	data := genStream(8192, 7)
+	in := [2]exec.Batch{{Data: data, Ctx: window.Context{PrevTimestamp: window.NoPrev}}}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := p.NewResult()
+		if err := prog.Run(in, res); err != nil {
+			b.Fatal(err)
+		}
+		p.ReleaseResult(res)
 	}
 }
 

@@ -23,9 +23,6 @@ func (d *Device) Compile(plan *exec.Plan) *Program {
 	return &Program{d: d, plan: plan, cost: model.Analyze(plan.Q)}
 }
 
-// Cost returns the program's analysed query cost.
-func (p *Program) Cost() model.QueryCost { return p.cost }
-
 // Submit enqueues a task into the five-stage pipeline and returns a
 // completion channel. Up to the device's PipelineDepth tasks are in
 // flight; beyond that Submit blocks, which is the backpressure the GPGPU
@@ -171,29 +168,19 @@ func (p *Program) mapKernel(j *job) {
 	}
 	out := j.slot.devOut[:total*osz]
 	p.d.launch(n, func(lo, hi int) {
+		// Rebuild the workgroup's selection from the flag vector and write
+		// its compacted run in one batch append over the workgroup's range
+		// — from the column segments on a columnar job, from the staged
+		// rows otherwise.
 		pos := offsets[lo/gs]
-		if j.colStaged {
-			// Rebuild the workgroup's selection from the flag vector and
-			// write its compacted run in one columnar batch append.
-			sel := make([]int32, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if flags[i] != 0 {
-					sel = append(sel, int32(i))
-				}
-			}
-			dst := out[pos*osz : pos*osz : (pos+len(sel))*osz]
-			plan.WriteOutputBatch(dst, nil, cols, n, sel)
-			return
-		}
-		tmp := make([]byte, 0, osz)
+		sel := make([]int32, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			if flags[i] == 0 {
-				continue
+			if flags[i] != 0 {
+				sel = append(sel, int32(i))
 			}
-			tmp = plan.WriteOutput(tmp[:0], data[i*tsz:(i+1)*tsz], nil)
-			copy(out[pos*osz:], tmp)
-			pos++
 		}
+		dst := out[pos*osz : pos*osz : (pos+len(sel))*osz]
+		plan.WriteOutputBatch(dst, data, cols, lo, hi, sel)
 	})
 	j.slot.devOut = out
 	j.outBytes = total * osz

@@ -115,6 +115,23 @@ func TestAggConservationMultiQuery(t *testing.T) {
 	}
 }
 
+// TestSixWorkerPassthroughAndAgg runs the identity and tumbling
+// COUNT(*) workloads through the full engine with six CPU workers and
+// 1 KiB tasks: runClean checks byte-for-byte passthrough and aggregate
+// count conservation, tying the batch operators to the concurrent engine,
+// not just to single-threaded Plan.Process calls.
+func TestSixWorkerPassthroughAndAgg(t *testing.T) {
+	for _, wl := range []string{WorkloadPassthrough, WorkloadAgg} {
+		runClean(t, Config{
+			Seed:     Seed(404),
+			Workload: wl,
+			Tuples:   scale(20000, 60000),
+			Workers:  6,
+			TaskSize: 1024,
+		})
+	}
+}
+
 // TestSeedDeterminism re-runs the same seed and asserts the load profile
 // is identical — the property that makes -harness.seed reproduction
 // work. (Scheduling-dependent counters like overflow deliveries are

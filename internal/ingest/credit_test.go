@@ -180,6 +180,86 @@ func TestCreditsResumeReconnectInterop(t *testing.T) {
 	}
 }
 
+// gatedSink blocks its second Insert until gate is closed, holding the
+// server mid-stream while later frames wait unread in its socket.
+type gatedSink struct {
+	collectSink
+	gate    chan struct{}
+	inserts atomic.Int64
+}
+
+func (s *gatedSink) Insert(data []byte) {
+	if s.inserts.Add(1) == 2 {
+		<-s.gate
+	}
+	s.collectSink.Insert(data)
+}
+
+// TestCloseAfterRedialDeliversEverything closes a resume+credit client
+// right after it redialed past an injected mid-frame fault, while the
+// server is stalled with frames still unread and a credit grant sits
+// unread at the client. Close must not reset the connection (a reset
+// drops the server's unread frames): the server receives exactly every
+// byte, and only the faulted connection ends in an error.
+func TestCloseAfterRedialDeliversEverything(t *testing.T) {
+	sink := &gatedSink{gate: make(chan struct{})}
+	srv, err := Listen("127.0.0.1:0", sink, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EnableResume(0)
+	srv.EnableCredits(32) // one grant per 8 tuples consumed
+	go func() { _ = srv.Serve() }()
+	defer srv.Close()
+
+	inj := fault.New(7)
+	inj.Arm(fault.IngestDrop, fault.Spec{Rate: 1, Limit: 1}) // the first frame's first attempt
+	rc, err := DialReconnect(srv.Addr().String(), ReconnectConfig{
+		Seed:      7,
+		Resume:    true,
+		Credits:   true,
+		TupleSize: 8,
+		BaseDelay: 100 * time.Microsecond,
+		MaxDelay:  2 * time.Millisecond,
+		Fault:     inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four 8-tuple frames fit the 32-tuple window, so no Send waits.
+	want := stream(32)
+	for off := 0; off < len(want); off += 64 {
+		if err := rc.Send(want[off : off+64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rc.Reconnects() != 1 || inj.TotalInjections() != 1 {
+		t.Fatalf("reconnects=%d injections=%d, want one faulted redial", rc.Reconnects(), inj.TotalInjections())
+	}
+	// The first frame is sunk and granted; the second holds the sink.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().CreditGrants == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("server never granted the first frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.AfterFunc(50*time.Millisecond, func() { close(sink.gate) })
+	if err := rc.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := srv.BytesIn(); got != int64(len(want)) {
+		t.Fatalf("server received %d bytes, want %d", got, len(want))
+	}
+	if !bytes.Equal(sink.bytes(), want) {
+		t.Fatalf("sink has %d bytes, want %d exactly once", len(sink.bytes()), len(want))
+	}
+	srv.Close()
+	if st := srv.Stats(); st.ConnErrors != 1 {
+		t.Fatalf("%d connections ended in an error, want only the faulted one", st.ConnErrors)
+	}
+}
+
 // TestCreditsGreetingOrder pins the wire layout when both extensions are
 // on: 8-byte cursor first, 8-byte window second.
 func TestCreditsGreetingOrder(t *testing.T) {

@@ -46,6 +46,12 @@ const DefaultReadTimeout = 30 * time.Second
 // idle sender cannot stall shutdown for its full read timeout.
 const closeGrace = 250 * time.Millisecond
 
+// closeDrainTimeout bounds Client.Close's delivery barrier: how long the
+// client waits for the server to read the stream to its end. It covers
+// frames still buffered in the socket and a predecessor connection the
+// server serves first; past it the client closes regardless.
+const closeDrainTimeout = 5 * time.Second
+
 // Sink receives whole-tuple payloads in arrival order. A query handle's
 // Insert method satisfies it.
 type Sink interface {
@@ -707,5 +713,31 @@ func (c *Client) abortMidFrame(hdr, tuples []byte, stall time.Duration, site fau
 	return fault.Errorf(site, "connection lost mid-frame (%d bytes)", len(tuples))
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close ends the stream behind a delivery barrier: it half-closes the
+// write side, reads and discards whatever the server still sends (credit
+// grants) until the server closes its end, bounded by closeDrainTimeout,
+// and only then closes the connection. Closing with unread grants in the
+// receive buffer would make the kernel reset the connection, and a reset
+// discards every frame the server has not read yet. A nil return means
+// the server closed its end without a reset; that also happens when it
+// rejected the stream (a resume gap, say), so it does not prove delivery.
+// The server serves one connection at a time, so while an earlier
+// connection still holds its serving slot Close waits for it, up to
+// closeDrainTimeout (5 s); past that it returns the timeout error and
+// closes anyway, which may reset the connection.
+func (c *Client) Close() error {
+	cw, ok := c.conn.(interface{ CloseWrite() error })
+	if !ok {
+		return c.conn.Close()
+	}
+	if err := cw.CloseWrite(); err != nil {
+		_ = c.conn.Close()
+		return err
+	}
+	_ = c.conn.SetReadDeadline(time.Now().Add(closeDrainTimeout))
+	_, err := io.Copy(io.Discard, c.conn)
+	if cerr := c.conn.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -257,7 +257,8 @@ func (rc *ReconnectClient) CreditWaits() int64 {
 	return n
 }
 
-// Close closes the current connection, if any.
+// Close ends the stream on the current connection, if any, behind
+// Client.Close's delivery barrier.
 func (rc *ReconnectClient) Close() error {
 	if rc.c == nil {
 		return nil

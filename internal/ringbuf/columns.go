@@ -105,9 +105,6 @@ func (s *ColumnStore) NumCols() int { return len(s.cols) }
 // Offset returns the row-tuple byte offset of column j.
 func (s *ColumnStore) Offset(j int) int { return s.offs[j] }
 
-// Width returns the element width of column j in bytes.
-func (s *ColumnStore) Width(j int) int { return s.widths[j] }
-
 // CapacityTuples returns the per-column capacity in tuples.
 func (s *ColumnStore) CapacityTuples() int64 { return s.mask + 1 }
 

@@ -22,10 +22,13 @@ func TestQueueFIFOUnderConcurrency(t *testing.T) {
 		}(p)
 	}
 
+	// Per-producer order is checked inside the Select callback, which runs
+	// under the queue lock: the check sees pops in exactly the order the
+	// queue served them, so it can demand strict succession.
 	var consumed atomic.Int64
-	lastPerQuery := make([]atomic.Int64, producers)
+	lastPerQuery := make([]int64, producers) // guarded by the queue lock
 	for i := range lastPerQuery {
-		lastPerQuery[i].Store(-1)
+		lastPerQuery[i] = -1
 	}
 	var cwg sync.WaitGroup
 	for c := 0; c < 3; c++ {
@@ -33,24 +36,20 @@ func TestQueueFIFOUnderConcurrency(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for consumed.Load() < producers*perProducer {
-				tk := q.PopHead()
-				if tk == nil {
-					continue
-				}
-				// Per-producer order must be preserved by the FIFO pop.
-				prev := lastPerQuery[tk.Query].Load()
-				if tk.ID <= prev {
-					// A later consumer may observe a smaller ID only if a
-					// different goroutine already advanced it; the swap
-					// below tolerates benign interleavings while still
-					// catching gross reordering.
-					if prev-tk.ID > int64(producers) {
-						t.Errorf("query %d: ID %d long after %d", tk.Query, tk.ID, prev)
+				tk := q.Select(func(items []*Task) int {
+					if len(items) == 0 {
+						return -1
 					}
-				} else {
-					lastPerQuery[tk.Query].Store(tk.ID)
+					head := items[0]
+					if want := lastPerQuery[head.Query] + 1; head.ID != want {
+						t.Errorf("query %d: popped ID %d, want %d", head.Query, head.ID, want)
+					}
+					lastPerQuery[head.Query] = head.ID
+					return 0
+				})
+				if tk != nil {
+					consumed.Add(1)
 				}
-				consumed.Add(1)
 			}
 		}()
 	}
@@ -61,6 +60,11 @@ func TestQueueFIFOUnderConcurrency(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Fatalf("queue not empty: %d", q.Len())
+	}
+	for p, last := range lastPerQuery {
+		if last != perProducer-1 {
+			t.Fatalf("query %d: last popped ID %d, want %d", p, last, perProducer-1)
+		}
 	}
 }
 
